@@ -112,12 +112,15 @@ crossovers are) holds. The simulated cluster has m=10 machines and a
 128 MB/machine intermediate-result budget.
 
 **Reading the time column.** In a single-host Spark simulation every
-round costs a fixed scheduler overhead and the "network" is free, which
-*inverts* the paper's wall-clock ordering: RADS executes ~10× more
-(tiny) Spark jobs per query than the monolithic join baselines, so its
-`time_s` is scheduler-bound, while the baselines' real cost — moving
+Spark job costs a fixed scheduler overhead and the "network" is free.
+The time columns below were measured when R-Meef ran as
+driver-coordinated rounds of DataFrame jobs: RADS then issued 65 Spark
+jobs for q1 on a 2,000-vertex small world, against 21–31 for the join
+baselines, so its `time_s` was scheduler-bound and *inverted* the
+paper's wall-clock ordering, while the baselines' real cost — moving
 and materializing huge intermediates across machines — costs them
-nothing here. The paper's performance claims are therefore reproduced
+nothing here. R-Meef now runs as one Spark task per machine (14 jobs
+for RADS on that call); the tables below have not been re-run since. The paper's performance claims are therefore reproduced
 through the scheduler-independent columns: `comm_MB` (metered network
 volume — RADS is 1–2+ orders of magnitude below every baseline on every
 dataset, matching Figs. 8–11) and `failed` (per-machine memory, where

@@ -3,7 +3,7 @@
 ``run_rads`` is the full system of the paper: it splits the start-vertex
 candidates by border distance (Prop. 1), enumerates the far-from-border
 ones with the single-machine algorithm per machine, region-groups the
-rest, and runs the distributed R-Meef rounds over them. The union is
+rest, and runs R-Meef over them as one task per machine. The union is
 the answer; the metrics object carries the simulated communication and
 memory costs.
 """
@@ -44,6 +44,8 @@ def run_rads(
       region group per machine.
     * ``use_sme=False`` disables Prop. 1 (everything distributed) — used
       by the ablation experiment.
+    * ``sequential_groups`` is accepted and ignored: each machine always
+      processes its region groups one after another (Alg. 4).
     """
     t0 = time.perf_counter()
     metrics = RunMetrics("rads", query_name or pattern.name, gc.name)
@@ -81,7 +83,6 @@ def run_rads(
         gc, pattern, plan, rest, metrics,
         bytes_budget=bytes_budget,
         groups=groups,
-        sequential_groups=sequential_groups,
         measure_compression=measure_compression,
     )
     if dist_df is None:

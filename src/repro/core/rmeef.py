@@ -1,32 +1,60 @@
-"""R-Meef: region-grouped multi-round expand / verify & filter (Sec. 3.2).
+"""R-Meef: region-grouped expand / verify & filter (Sec. 3.2, Alg. 4).
 
-The distributed rounds as a Catalyst dataflow. Each embedding row
-carries its *home machine* ``m`` (owner of the start vertex) and region
-group ``g``. Per unit of the execution plan:
+Each machine runs R-Meef on its own, with no barrier between machines:
+one ``groupBy("machine").applyInPandas`` task per machine walks that
+machine's region groups in ascending ``g`` (Sec. 6) and, within a
+group, runs the plan's rounds level by level over numpy arrays. The
+task sees the graph the way the machine does: CSR adjacency, the
+replicated ownership map and degrees. Every embedding keeps its home
+machine (owner of its start vertex) for its whole life, so
+intermediate results never move between machines — the paper's core
+claim.
 
-Expand   — join on the pivot's adjacency, one leaf at a time, applying
-           degree / injectivity / symmetry-breaking filters and the
-           *locally-verifiable* verification edges immediately. Edges
-           whose existence machine ``m`` cannot see (neither endpoint
-           owned nor cached — Definition 4's undetermined edges) pass
-           through with a pending flag: the resulting set is exactly
-           the EC set of Definition 3.
-Verify & Filter — distinct pending (m, v, v') pairs are the verifyE
-           requests (the EVI dedupes shared undetermined edges, hence
-           *distinct*); failed ECs are filtered.
+Expand — per leaf of the round's unit: the pivot's neighbors, then the
+         degree, injectivity and symmetry-breaking filters. A
+         verification edge incident to the leaf is checked at once when
+         machine m can see it (an endpoint owned by m or in m's fetch
+         cache); otherwise it is *undetermined* (Definition 4) and the
+         row passes with the edge pending. The rows left are exactly
+         the EC set of Definition 3.
+Verify & Filter — the distinct undetermined ``(v_x, v_u)`` pairs of
+         each pending edge are the verifyE requests (the EVI dedupes
+         shared ones); ECs whose edge is missing are dropped.
 
-Communication metering (DESIGN.md §2): fetchV = adjacency bytes of
-newly-fetched foreign pivots (a cache DataFrame persists across rounds,
-as in the paper); verifyE = 17 bytes per distinct pair. Intermediate
-results never shuffle between machines — rows keep their home ``m``
-for their whole life, which is the paper's core claim.
+Metering (DESIGN.md §2), per (machine, group, round):
+
+* fetchV — adjacency bytes ``(deg(v) + 2) * 8`` of each foreign pivot
+  not yet in the fetch cache. The cache lives for one region group:
+  it is reset when the machine moves to its next group, so a group's
+  memory is released with it;
+* verifyE — 17 bytes per distinct undetermined pair, per pending edge;
+* EC rows, and the exact embedding-trie size of the EC set (Sec. 5):
+  level-j nodes are its distinct matching-order (j+1)-prefixes.
+
+With a budget, a group's round stops as soon as its EC rows × 20 B
+exceed it. A trie has at least one node per EC row, so that round
+trips the budget whatever the exact trie size, and a task never holds
+much more than budget / 20 rows. The machine then stops.
+
+The driver checkpoints the task output once, collects the metering
+rows and replays them into :class:`RunMetrics` in (group, round) order.
+fetchV, verifyE, EC rows and trie nodes are summed over machines per
+(group, round); ``peak_intermediate_rows`` is the largest such sum, and
+``peak_group_trie_bytes`` the largest single machine's trie. On a trip
+only the records up to the first (group, round) that trips count; the
+EC rows and trie size of that round are lower bounds.
 """
 from __future__ import annotations
 
+import json
+from collections import defaultdict
+
+import numpy as np
+import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-from repro.core.emtrie import list_bytes, trie_bytes_spark
+from repro.core.emtrie import list_bytes
 from repro.core.metrics import (
     TRIE_NODE_BYTES,
     VERIFY_PAIR_BYTES,
@@ -34,20 +62,156 @@ from repro.core.metrics import (
     RunMetrics,
 )
 from repro.graphs.datasets import GraphContext
+from repro.graphs.generators import adjacency_csr, csr_expand
 from repro.query.pattern import Pattern
 from repro.query.plan import Plan
 
-
-def _c(u: int) -> str:
-    return f"u{u}"
-
-
-def _o(u: int) -> str:
-    return f"__o_{u}"
+#: first-leaf expansion rows per chunk of a round's input
+CHUNK_ROWS = 1 << 16
 
 
-class _Budget(Exception):
-    """Raised when an intermediate exceeds the simulated memory budget."""
+def _round_specs(pattern: Pattern, plan: Plan) -> list[tuple]:
+    """Plain-data plan for the task. Per round: (pivot, leaves, matched
+    query vertices in matching order, pending edges); each leaf is
+    (u, degree, injectivity columns, symmetry-breaking pairs,
+    verification-edge endpoints)."""
+    matched = [plan.units[0].piv]
+    specs = []
+    for i in range(plan.rounds):
+        leaves, pending = [], []
+        for u in plan.leaf_order(i):
+            sb = [
+                (a, b)
+                for a, b in pattern.symmetry_breaking_pairs
+                if u in (a, b) and (a if b == u else b) in matched
+            ]
+            ver = [x for x, _ in plan.verification_edges_for_leaf(i, u)]
+            leaves.append((u, pattern.degree(u), list(matched), sb, ver))
+            pending += [(x, u) for x in ver]
+            matched.append(u)
+        mo = [u for u in plan.matching_order if u in matched]
+        specs.append((plan.units[i].piv, leaves, mo, pending))
+    return specs
+
+
+def _take(R: dict, sel: np.ndarray) -> dict:
+    return {k: c[sel] for k, c in R.items()}
+
+
+def _trie_nodes(R: dict, cols: list[int]) -> int:
+    """Distinct prefixes of the rows over ``cols`` (in order), summed
+    over prefix lengths: the node count of the merged trie."""
+    if not len(R[cols[0]]):
+        return 0
+    order = np.lexsort([R[c] for c in reversed(cols)])
+    new = np.zeros(len(order) - 1, dtype=bool)
+    nodes = 0
+    for c in cols:
+        s = R[c][order]
+        new |= s[1:] != s[:-1]
+        nodes += 1 + int(new.sum())
+    return nodes
+
+
+def _machine_task(graph, specs, n_cols, budget, has_groups):
+    """The per-machine R-Meef task for ``applyInPandas``. It takes the
+    machine's (machine, v, g) payload rows (g = -1: a start candidate,
+    else its region group) and returns the machine's embeddings (``meta``
+    null) plus one JSON metering row per (group, round) (``u*`` = -1).
+    ``graph`` holds numpy arrays only: the task must not capture the
+    unpicklable GraphContext."""
+    indptr, indices, owner, deg, ekeys, n = graph
+
+    def has_edge(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        q = a * n + b
+        pos = np.minimum(np.searchsorted(ekeys, q), len(ekeys) - 1)
+        return ekeys[pos] == q
+
+    def expand(R: dict, m: int, p: int, leaves, cache: np.ndarray):
+        """One round's expansion of ``R``: the EC rows, with an
+        (exists, undetermined) flag pair per pending edge."""
+        for u, du, inj, sb, ver in leaves:
+            row, nb = csr_expand(indptr, indices, R[p])
+            R = _take(R, row)
+            keep = deg[nb] >= du
+            for x in inj:
+                keep &= nb != R[x]
+            for a, b in sb:
+                keep &= (nb if a == u else R[a]) < (nb if b == u else R[b])
+            R = _take(R, keep)
+            R[u] = nb[keep]
+            for x in ver:
+                ex = has_edge(R[x], R[u])
+                local = (owner[R[x]] == m) | (owner[R[u]] == m)
+                local |= np.isin(R[x], cache) | np.isin(R[u], cache)
+                keep = ex | ~local
+                R = _take(R, keep)
+                R[("ex", x, u)] = ex[keep]
+                R[("ud", x, u)] = ~local[keep]
+        return R
+
+    def over(nodes: int) -> bool:
+        return budget is not None and nodes * TRIE_NODE_BYTES > budget
+
+    def run_group(m: int, g: int, starts: np.ndarray, meter: list):
+        """Rounds of one region group; returns its embeddings or None
+        when the budget trips."""
+        R = {specs[0][0]: starts}
+        cache = np.empty(0, dtype=np.int64)  # fetched foreign vertices
+        for i, (p, leaves, mo, pending) in enumerate(specs):
+            rec = {"g": g, "round": i, "fetch_n": 0, "fetch_deg": 0, "pairs": 0}
+            if i > 0:
+                pv = np.unique(R[p])
+                new = np.setdiff1d(pv[owner[pv] != m], cache, assume_unique=True)
+                rec["fetch_n"], rec["fetch_deg"] = len(new), int(deg[new].sum())
+                cache = np.union1d(cache, new)
+            # expand in chunks of the pivot's fan-out, so an over-budget
+            # round stops after the chunk that crosses the budget
+            fan = np.cumsum(deg[R[p]]) - deg[R[p]]
+            cuts = np.flatnonzero(np.diff(fan // CHUNK_ROWS)) + 1
+            parts, rows = [], 0
+            for sel in np.split(np.arange(len(R[p])), cuts):
+                parts.append(expand(_take(R, sel), m, p, leaves, cache))
+                rows += len(parts[-1][p])
+                if over(rows):
+                    break
+            EC = {k: np.concatenate([P[k] for P in parts]) for k in parts[0]}
+            # one trie node per EC row at least: a lower bound is enough
+            nodes = rows if over(rows) else _trie_nodes(EC, mo)
+            rec.update(ec_rows=rows, trie_nodes=nodes, tripped=over(nodes))
+            meter.append(rec)
+            if rec["tripped"]:
+                return None
+            keep = np.ones(rows, dtype=bool)
+            for x, u in pending:
+                ud = EC[("ud", x, u)]
+                rec["pairs"] += len(np.unique(EC[x][ud] * n + EC[u][ud]))
+                keep &= EC[("ex", x, u)]
+            R = {u: EC[u][keep] for u in mo}
+        return R
+
+    cols = [f"u{u}" for u in range(n_cols)]
+
+    def run(pdf: pd.DataFrame) -> pd.DataFrame:
+        m = int(pdf["machine"].iloc[0])
+        starts = pdf.loc[pdf["g"] < 0, "v"]
+        groups = pdf.loc[pdf["g"] >= 0, ["v", "g"]]
+        starts = groups[groups["v"].isin(starts)] if has_groups else starts.to_frame().assign(g=0)
+        meter: list[dict] = []
+        out = []
+        for g, vs in starts.groupby("g")["v"]:
+            R = run_group(m, int(g), vs.to_numpy(np.int64), meter)
+            if R is None:
+                out = []  # the run failed: its embeddings are never used
+                break
+            out.append(pd.DataFrame({c: R[u] for u, c in enumerate(cols)}))
+        emb = pd.concat(out) if out else pd.DataFrame({c: [] for c in cols}, dtype="int64")
+        emb["meta"] = None
+        rows = pd.DataFrame({c: -1 for c in cols}, index=range(len(meter)), dtype="int64")
+        rows["meta"] = [json.dumps(r) for r in meter]
+        return pd.concat([emb, rows], ignore_index=True)
+
+    return run
 
 
 def run_rmeef(
@@ -59,231 +223,75 @@ def run_rmeef(
     *,
     bytes_budget: int | None = None,
     groups: DataFrame | None = None,
-    sequential_groups: bool = False,
     measure_compression: bool = False,
 ) -> DataFrame | None:
     """Run the distributed phase; returns the embedding DataFrame
     (columns u0..u{n-1}) or None when the budget was exceeded
     (``metrics.failed`` is set). ``start_candidates``: (machine, v) of
     dp0.piv candidates assigned to the distributed phase; ``groups``:
-    optional (machine, v, g) region-group assignment."""
-    u0 = plan.units[0].piv
-    base = start_candidates.select(
-        F.col("machine").alias("m"), F.col("v").alias(_c(u0))
-    )
+    optional (machine, v, g) region-group assignment (None: one group
+    per machine). All Spark work is done when it returns."""
+    n = gc.n_vertices
+    indptr, indices = adjacency_csr(gc.edges_np, n)
+    ekeys = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr)) * n + indices
+    graph = (indptr, indices, gc.owner_np, gc.degree_np(), ekeys, n)
+    specs = _round_specs(pattern, plan)
+
+    # one shuffle: the machine's candidates (g = -1) and, if any, its
+    # group assignment travel together; the task joins them
+    payload = start_candidates.select("machine", "v", F.lit(-1).alias("g"))
     if groups is not None:
-        base = base.join(
-            groups.select(
-                F.col("machine").alias("m"), F.col("v").alias(_c(u0)), "g"
-            ),
-            ["m", _c(u0)],
+        payload = payload.unionByName(groups.select("machine", "v", "g"))
+    cols = [f"u{u}" for u in range(pattern.n)]
+    schema = ", ".join(f"{c} long" for c in cols) + ", meta string"
+    out = (
+        payload.groupBy("machine")
+        .applyInPandas(
+            _machine_task(graph, specs, pattern.n, bytes_budget, groups is not None),
+            schema,
         )
-    else:
-        base = base.withColumn("g", F.lit(0))
-    base = base.withColumn(_o(u0), F.col("m")).localCheckpoint()
-
+        .localCheckpoint()
+    )
+    meter = [json.loads(r["meta"]) for r in out.filter(F.col("meta").isNotNull()).collect()]
     metrics.rounds = plan.rounds
-    try:
-        gids = (
-            [r["g"] for r in base.select("g").distinct().collect()]
-            if sequential_groups and groups is not None
-            else []
-        )
-        if gids:
-            parts = []
-            for gid in sorted(gids):
-                parts.append(
-                    _run_rounds(
-                        gc, pattern, plan, base.filter(F.col("g") == gid),
-                        metrics, bytes_budget, measure_compression,
-                    )
-                )
-            out = parts[0]
-            for p in parts[1:]:
-                out = out.unionByName(p)
-        else:
-            out = _run_rounds(
-                gc, pattern, plan, base, metrics, bytes_budget,
-                measure_compression,
-            )
-    except _Budget as e:
-        metrics.failed = True
-        metrics.fail_reason = str(e)
+    if not _replay(meter, specs, metrics, bytes_budget, measure_compression):
         return None
-    cols = [_c(u) for u in range(pattern.n)]
-    return out.select(*cols)
+    return out.filter(F.col("meta").isNull()).select(*cols)
 
 
-def _run_rounds(
-    gc: GraphContext,
-    pattern: Pattern,
-    plan: Plan,
-    R: DataFrame,
-    metrics: RunMetrics,
-    bytes_budget: int | None,
-    measure_compression: bool,
-) -> DataFrame:
-    spark = gc.spark
-    cache = spark.createDataFrame([], "m int, v long")  # fetched foreign vertices
-    mo_pos = {u: i for i, u in enumerate(plan.matching_order)}
-    matched: list[int] = [plan.units[0].piv]
-
-    for i in range(plan.rounds):
-        unit = plan.units[i]
-        p = unit.piv
-
-        # ---- fetchV: adjacency of foreign pivots, dedup via cache ----
-        if i > 0:
-            needed = (
-                R.select("m", F.col(_c(p)).alias("v"))
-                .distinct()
-                .join(F.broadcast(gc.owner), "v")
-                .filter(F.col("machine") != F.col("m"))
-                .select("m", "v")
-            )
-            new = needed.join(F.broadcast(cache), ["m", "v"], "left_anti").localCheckpoint()
-            agg = new.join(F.broadcast(gc.degrees), "v").agg(
-                F.count("*").alias("n"), F.coalesce(F.sum("deg"), F.lit(0)).alias("d")
-            ).collect()[0]
-            if agg["n"]:
-                metrics.add_comm(
-                    "fetchV", (int(agg["d"]) + 2 * int(agg["n"])) * VERTEX_BYTES
-                )
-                cache = cache.unionByName(new).localCheckpoint()
-
-        # ---- expand: one leaf at a time ----
-        pending: list[tuple[int, int]] = []
-        for u in plan.leaf_order(i):
-            cu = _c(u)
-            e = gc.edges.select(F.col("src").alias(_c(p)), F.col("dst").alias(cu))
-            R = R.join(e, _c(p))
-            # degree filter (candidate pruning, TurboIso-style)
-            R = (
-                R.join(
-                    F.broadcast(
-                        gc.degrees.select(F.col("v").alias(cu), F.col("deg").alias("__dg"))
-                    ),
-                    cu,
-                )
-                .filter(F.col("__dg") >= pattern.degree(u))
-                .drop("__dg")
-            )
-            for x in matched:  # injectivity
-                R = R.filter(F.col(cu) != F.col(_c(x)))
-            for a, b in pattern.symmetry_breaking_pairs:  # preserved order
-                if u in (a, b) and (a if b == u else b) in matched:
-                    R = R.filter(F.col(_c(a)) < F.col(_c(b)))
-            R = R.join(  # ownership of the new vertex (replicated map)
-                F.broadcast(
-                    gc.owner.select(F.col("v").alias(cu), F.col("machine").alias(_o(u)))
-                ),
-                cu,
-            )
-            # verification edges incident to u with an earlier endpoint
-            for x, _ in plan.verification_edges_for_leaf(i, u):
-                cx = _c(x)
-                ex, ud = f"__ex_{x}_{u}", f"__ud_{x}_{u}"
-                ee = gc.edges.select(
-                    F.col("src").alias("__va"),
-                    F.col("dst").alias("__vb"),
-                    F.lit(True).alias(ex),
-                )
-                R = (
-                    R.join(
-                        ee,
-                        (F.col(cx) == F.col("__va")) & (F.col(cu) == F.col("__vb")),
-                        "left",
-                    )
-                    .drop("__va", "__vb")
-                    .withColumn(ex, F.coalesce(F.col(ex), F.lit(False)))
-                )
-                # locally verifiable at m: an endpoint owned by m or cached at m
-                local = (F.col(_o(x)) == F.col("m")) | (F.col(_o(u)) == F.col("m"))
-                if i > 0:  # the fetch cache is empty before round 1
-                    R = _with_cached_flag(R, cache, cx, "__cx")
-                    R = _with_cached_flag(R, cache, cu, "__cu")
-                    local = local | F.col("__cx") | F.col("__cu")
-                R = R.withColumn(ud, ~local)
-                if i > 0:
-                    R = R.drop("__cx", "__cu")
-                # locally-failed ECs never materialize (Algorithm 2 line 10)
-                R = R.filter(F.col(ex) | F.col(ud))
-                pending.append((x, u))
-            matched.append(u)
-
-        # ---- materialize the EC set of P_i ----
-        R = R.localCheckpoint()
-        # one aggregate job: total EC rows + per-(machine, group) peak
-        # (memory is a per-machine, per-region-group quantity), the EVI
-        # verifyE volume per pending edge (distinct undetermined pairs),
-        # and the per-group embedding-trie size (distinct prefixes in
-        # matching order) — what a machine actually holds in memory
-        matched_set = set(matched)
-        cols_mo = [_c(u) for u in plan.matching_order if u in matched_set]
-        aggs = [F.count(F.lit(1)).alias("__n")]
-        for x, u in pending:
-            aggs.append(
-                F.count_distinct(
-                    F.when(
-                        F.col(f"__ud_{x}_{u}"),
-                        F.struct(F.col("m"), F.col(_c(x)), F.col(_c(u))),
-                    )
-                ).alias(f"__p_{x}_{u}")
-            )
-        for j in range(len(cols_mo)):
-            aggs.append(
-                F.count_distinct(
-                    F.struct(*[F.col(c) for c in cols_mo[: j + 1]])
-                ).alias(f"__t{j}")
-            )
-        grouped = R.groupBy("m", "g").agg(*aggs).collect()
-        ec_rows = sum(r["__n"] for r in grouped)
-        peak_trie_bytes = max(
-            (
-                sum(r[f"__t{j}"] for j in range(len(cols_mo))) * TRIE_NODE_BYTES
-                for r in grouped
-            ),
-            default=0,
-        )
-        metrics.see_intermediate(ec_rows, len(matched))
-        metrics.extras["peak_group_trie_bytes"] = max(
-            metrics.extras.get("peak_group_trie_bytes", 0), peak_trie_bytes
-        )
+def _replay(meter, specs, metrics, bytes_budget, measure_compression) -> bool:
+    """Fold the per-(machine, group, round) metering rows into
+    ``metrics`` in the sequential (group, round) order; False on a trip."""
+    tot: dict = defaultdict(lambda: defaultdict(int))
+    for r in meter:
+        t = tot[(r["g"], r["round"])]
+        for k in ("fetch_n", "fetch_deg", "pairs", "ec_rows", "trie_nodes"):
+            t[k] += r[k]
+        t["peak_nodes"] = max(t["peak_nodes"], r["trie_nodes"])
+        t["tripped"] |= r["tripped"]
+    metrics.extras.setdefault("peak_group_trie_bytes", 0)
+    if measure_compression:
+        metrics.extras.setdefault("el_bytes", 0)
+        metrics.extras.setdefault("et_bytes", 0)
+    for (g, i), t in sorted(tot.items()):
+        if t["fetch_n"]:
+            metrics.add_comm("fetchV", (t["fetch_deg"] + 2 * t["fetch_n"]) * VERTEX_BYTES)
+        width = len(specs[i][2])
+        metrics.see_intermediate(t["ec_rows"], width)
+        peak = t["peak_nodes"] * TRIE_NODE_BYTES
+        ex = metrics.extras
+        ex["peak_group_trie_bytes"] = max(ex["peak_group_trie_bytes"], peak)
         if measure_compression:
-            cols_mo = [_c(u) for u in plan.matching_order if u in set(matched)]
-            el = list_bytes(ec_rows, len(matched))
-            et = trie_bytes_spark(R, cols_mo)
-            metrics.extras["el_bytes"] = max(metrics.extras.get("el_bytes", 0), el)
-            metrics.extras["et_bytes"] = max(metrics.extras.get("et_bytes", 0), et)
-        # RADS stores intermediates in the embedding trie (Sec. 5), so
-        # the per-machine memory check compares the *trie* size of the
-        # group's EC set against the budget — this is what lets RADS
-        # survive hub-heavy rounds that would OOM as flat lists
-        if bytes_budget is not None and peak_trie_bytes > bytes_budget:
-            raise _Budget(
-                f"round {i}: a region group's embedding trie needs "
-                f"{peak_trie_bytes / 1e6:.0f}MB, over the per-machine budget"
+            ex["el_bytes"] = max(ex["el_bytes"], list_bytes(t["ec_rows"], width))
+            ex["et_bytes"] = max(ex["et_bytes"], t["trie_nodes"] * TRIE_NODE_BYTES)
+        if t["tripped"]:
+            metrics.failed = True
+            metrics.fail_reason = (
+                f"round {i}: a machine's embedding trie of region group {g} "
+                f"needs at least {peak} B, over the per-machine budget of "
+                f"{bytes_budget} B"
             )
-
-        # ---- verify & filter: EVI = distinct undetermined pairs ----
-        for x, u in pending:
-            n_pairs = sum(r[f"__p_{x}_{u}"] for r in grouped)
-            if n_pairs:
-                metrics.add_comm("verifyE", n_pairs * VERIFY_PAIR_BYTES)
-            R = R.filter(F.col(f"__ex_{x}_{u}")).drop(
-                f"__ex_{x}_{u}", f"__ud_{x}_{u}"
-            )
-        R = R.localCheckpoint()
-    return R
-
-
-def _with_cached_flag(R: DataFrame, cache: DataFrame, vcol: str, flag: str) -> DataFrame:
-    """Mark rows whose ``vcol`` vertex is in machine m's fetch cache."""
-    c = cache.select(
-        F.col("m"), F.col("v").alias(vcol), F.lit(True).alias(flag)
-    )
-    # the per-machine fetch cache is small relative to embeddings —
-    # broadcast it like the replicated ownership map
-    return R.join(F.broadcast(c), ["m", vcol], "left").withColumn(
-        flag, F.coalesce(F.col(flag), F.lit(False))
-    )
+            return False
+        if t["pairs"]:
+            metrics.add_comm("verifyE", t["pairs"] * VERIFY_PAIR_BYTES)
+    return True

@@ -3,15 +3,17 @@
 Proposition 1: if ``Span_P(u_start) <= BD(v)`` then every embedding
 mapping u_start→v is entirely local to v's machine, so it can be found
 by a single-machine algorithm over the partition alone. We compute the
-set ``{v : BD(v) <= span-1}`` with a bounded multi-source BFS (iterative
-DataFrame joins over *local* edges, seeded at the border vertices);
-candidates outside it form C1 and are enumerated per machine by a
-TurboIso-lite backtracking enumerator inside ``applyInPandas``.
+split by filtering the per-vertex border distance ``GraphContext.bd_np``
+(one multi-source BFS over local edges per graph, see
+``partition.border_distance``); candidates with ``BD(v) >= span`` form
+C1 and are enumerated per machine by a TurboIso-lite backtracking
+enumerator inside ``applyInPandas``.
 """
 from __future__ import annotations
 
 from typing import Iterable, Iterator, Sequence
 
+import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
@@ -21,13 +23,18 @@ from repro.query.pattern import Pattern
 from repro.query.plan import Plan
 
 
+def _vertex_df(gc: GraphContext, mask: np.ndarray) -> DataFrame:
+    """(v, machine) of the vertices selected by ``mask``."""
+    v = np.nonzero(mask)[0].astype(np.int64)
+    return gc.spark.createDataFrame(
+        pd.DataFrame({"v": v, "machine": gc.owner_np[v].astype(np.int32)}),
+        schema="v long, machine int",
+    )
+
+
 def border_vertices(gc: GraphContext) -> DataFrame:
     """(v, machine) of vertices with at least one foreign neighbor."""
-    return (
-        gc.edges_o.filter(F.col("src_m") != F.col("dst_m"))
-        .select(F.col("src").alias("v"), F.col("src_m").alias("machine"))
-        .distinct()
-    )
+    return _vertex_df(gc, gc.bd_np == 0)
 
 
 def local_edges(gc: GraphContext) -> DataFrame:
@@ -38,27 +45,8 @@ def local_edges(gc: GraphContext) -> DataFrame:
 
 
 def vertices_within_border(gc: GraphContext, depth: int) -> DataFrame:
-    """(v,) — vertices whose border distance is <= ``depth``.
-
-    Bounded multi-source BFS from each machine's border over local edges
-    (a shortest path to the border never leaves the partition, so local
-    edges suffice). ``depth`` is span-1, i.e. 0–2 for the paper's
-    queries, so the loop is short.
-    """
-    reached = border_vertices(gc).select("v").distinct().localCheckpoint()
-    frontier = reached
-    le = local_edges(gc).select("src", "dst")
-    for _ in range(depth):
-        nxt = (
-            le.join(frontier.withColumnRenamed("v", "src"), "src")
-            .select(F.col("dst").alias("v"))
-            .distinct()
-        )
-        frontier = nxt.join(reached, "v", "left_anti").localCheckpoint()
-        if frontier.isEmpty():
-            break
-        reached = reached.union(frontier).localCheckpoint()
-    return reached
+    """(v, machine) — vertices whose border distance is <= ``depth``."""
+    return _vertex_df(gc, gc.bd_np <= depth)
 
 
 def split_candidates(
@@ -70,15 +58,9 @@ def split_candidates(
     those with BD >= span (Prop. 1 ⇒ handled by SM-E); the rest go to
     the distributed R-Meef phase.
     """
-    cand = (
-        gc.degrees.filter(F.col("deg") >= pattern.degree(u_start))
-        .join(F.broadcast(gc.owner), "v")
-        .select("v", "machine")
-    )
-    near = vertices_within_border(gc, pattern.span(u_start) - 1)
-    c1 = cand.join(near, "v", "left_anti")
-    rest = cand.join(near, "v", "left_semi")
-    return c1, rest
+    cand = gc.degree_np() >= pattern.degree(u_start)
+    far = gc.bd_np >= pattern.span(u_start)
+    return _vertex_df(gc, cand & far), _vertex_df(gc, cand & ~far)
 
 
 # ---------------- backtracking enumerator (TurboIso-lite) ----------------

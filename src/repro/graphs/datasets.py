@@ -9,6 +9,8 @@ GraphContext carries the distributed representation:
                     this map on every machine, so engines may broadcast it
 * ``edges_o``     — edges joined with both endpoint owners, cached
 * ``degrees``     — (v, deg) for candidate filtering
+* ``bd_np``       — border distance per vertex (Prop. 1), computed once
+                    here on the driver; SM-E's candidate split filters it
 * ``edges_pdf``   — symmetric pandas copy for the DuckDB oracle
 """
 from __future__ import annotations
@@ -26,7 +28,7 @@ from repro.graphs.generators import (
     grid_graph,
     watts_strogatz,
 )
-from repro.graphs.partition import bfs_partition, hash_partition
+from repro.graphs.partition import bfs_partition, border_distance, hash_partition
 
 
 @dataclass
@@ -39,6 +41,7 @@ class GraphContext:
     n_machines: int
     edges_np: np.ndarray  # canonical (E,2), src < dst
     owner_np: np.ndarray  # (n,) machine per vertex
+    bd_np: np.ndarray = field(repr=False)  # (n,) border distance
     edges: DataFrame = field(repr=False)  # symmetric, cached
     owner: DataFrame = field(repr=False)
     edges_o: DataFrame = field(repr=False)  # src,dst,src_m,dst_m
@@ -104,6 +107,7 @@ def build_context(
         n_machines=m,
         edges_np=edges_np,
         owner_np=owner_np,
+        bd_np=border_distance(edges_np, owner_np, n),
         edges=edges,
         owner=owner,
         edges_o=edges_o,

@@ -104,3 +104,14 @@ def adjacency_csr(edges: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     cnt = np.bincount(both[:, 0], minlength=n)
     indptr[1:] = np.cumsum(cnt)
     return indptr, both[:, 1].copy()
+
+
+def csr_expand(
+    indptr: np.ndarray, indices: np.ndarray, vs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(row, nbr): every neighbor of every ``vs[i]``, vectorised; ``row``
+    is ``i`` repeated deg(vs[i]) times, neighbors in ascending order."""
+    cnt = indptr[vs + 1] - indptr[vs]
+    row = np.repeat(np.arange(len(vs)), cnt)
+    starts = np.repeat(indptr[vs] - np.cumsum(cnt) + cnt, cnt)
+    return row, indices[starts + np.arange(len(row))]

@@ -12,7 +12,7 @@ from collections import deque
 
 import numpy as np
 
-from repro.graphs.generators import adjacency_csr
+from repro.graphs.generators import adjacency_csr, csr_expand
 
 
 def hash_partition(n: int, m: int) -> np.ndarray:
@@ -92,6 +92,34 @@ def _bfs_dist(indptr: np.ndarray, indices: np.ndarray, s: int, n: int) -> np.nda
                 d[y] = d[x] + 1
                 q.append(int(y))
     return d
+
+
+#: border distance of a vertex no border can reach over local edges
+#: (every vertex when m = 1): larger than any query span
+BD_UNREACHABLE = np.iinfo(np.int64).max
+
+
+def border_distance(edges: np.ndarray, owner: np.ndarray, n: int) -> np.ndarray:
+    """BD(v) for every vertex (Prop. 1): hops from v to the nearest
+    vertex of its machine that has a foreign neighbor.
+
+    A multi-source BFS over *local* edges seeded at the border vertices
+    (a shortest path to the border never leaves the partition), one
+    vectorised frontier step per level. Unreached vertices get
+    ``BD_UNREACHABLE``."""
+    bd = np.full(n, BD_UNREACHABLE, dtype=np.int64)
+    if len(edges) == 0:
+        return bd
+    cut = owner[edges[:, 0]] != owner[edges[:, 1]]
+    frontier = np.unique(edges[cut].ravel())
+    indptr, indices = adjacency_csr(edges[~cut], n)
+    d = 0
+    while len(frontier):
+        bd[frontier] = d
+        _, nbrs = csr_expand(indptr, indices, frontier)
+        frontier = np.unique(nbrs[bd[nbrs] == BD_UNREACHABLE])
+        d += 1
+    return bd
 
 
 def edge_cut(edges: np.ndarray, owner: np.ndarray) -> int:
