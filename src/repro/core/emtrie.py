@@ -2,16 +2,17 @@
 
 Two views of the same structure:
 
-* :class:`EmbeddingTrie` — the literal in-memory trie of Definition 11
-  (per-machine, used by tests and by the SM-E cost estimator). Supports
+* :class:`EmbeddingTrie` — the literal in-memory trie of Definition 11,
+  the tests' reference for the prefix-counted trie sizes. Supports
   insert / remove-with-cascade / retrieval by leaf id, exactly as the
   paper's maintenance algorithms require.
 * :func:`trie_nodes_spark` — exact distributed node count of the trie a
   machine *would* build for an embedding DataFrame: level-j nodes are
   the distinct j+1-prefixes of the result lists in matching order
   (the trie merges equal prefixes, so counting distinct prefixes counts
-  nodes without collecting results to the driver). Used by the Table 3/4
-  compression experiment.
+  nodes without collecting results to the driver). ``run_rads`` uses it
+  for the final result set's ET size when it measures compression
+  (the Table 3/4 experiment).
 """
 from __future__ import annotations
 

@@ -2,10 +2,10 @@
 
 ``run_rads`` is the full system of the paper: it splits the start-vertex
 candidates by border distance (Prop. 1), enumerates the far-from-border
-ones with the single-machine algorithm per machine, region-groups the
-rest, and runs R-Meef over them as one task per machine. The union is
-the answer; the metrics object carries the simulated communication and
-memory costs.
+ones per machine with R-Meef's round kernel over the machine's own
+partition (SM-E), region-groups the rest, and runs R-Meef over them as
+one task per machine. The union is the answer; the metrics object
+carries the simulated communication and memory costs.
 """
 from __future__ import annotations
 

@@ -51,10 +51,6 @@ class RunMetrics:
         if b > self.peak_intermediate_bytes:
             self.peak_intermediate_bytes = b
 
-    def over_budget(self, bytes_budget: int | None) -> bool:
-        """True iff the peak intermediate exceeded the simulated memory."""
-        return bytes_budget is not None and self.peak_intermediate_bytes > bytes_budget
-
     def row(self) -> dict:
         """Flat dict for result tables."""
         return {

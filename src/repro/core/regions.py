@@ -7,18 +7,18 @@ to the group (eq. 5) — so candidates that will share fetched foreign
 vertices and verification edges land together.
 
 The memory test ``φ(rg) < Φ`` is modeled by a per-group candidate cap:
-the engine estimates rows-per-candidate from SM-E (exactly the paper's
-estimator: average embedding-trie cost of local embeddings) and divides
-the budget by it.
+the engine estimates a candidate's cost as the embedding-list bytes of
+SM-E's average output per C1 candidate (``n_sme / n_c1`` rows of
+``n × 8`` B) and divides the budget by it.
 """
 from __future__ import annotations
 
 import random
 from typing import Iterable
 
+import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
 
 from repro.graphs.datasets import GraphContext
 
@@ -93,32 +93,22 @@ def assign_region_groups_spark(
     """Per-machine Algorithm 3 via ``applyInPandas``: (machine, v, g).
 
     Proximity only looks at local adjacency (the machine groups its own
-    candidates before any communication happens)."""
-    le = gc.edges_o.filter(F.col("src_m") == F.col("dst_m")).select(
-        F.col("src_m").alias("machine"),
-        F.col("src").alias("a"),
-        F.col("dst").alias("b"),
-        F.lit(0).alias("kind"),
-    )
-    payload = le.unionByName(
-        candidates.select(
-            "machine", F.col("v").alias("a"), F.lit(-1).alias("b"),
-            F.lit(1).alias("kind"),
-        )
-    )
+    candidates before any communication happens): each task reads its
+    vertices' rows of ``GraphContext.local_csr``."""
+    indptr, indices, _ = gc.local_csr
+    owner = gc.owner_np
 
     def run(pdf: pd.DataFrame) -> pd.DataFrame:
         m = int(pdf["machine"].iloc[0])
-        edges = pdf[pdf["kind"] == 0]
-        cands = [int(v) for v in pdf.loc[pdf["kind"] == 1, "a"]]
-        adj: dict[int, set[int]] = {}
-        for s, d in zip(edges["a"].to_numpy(), edges["b"].to_numpy()):
-            adj.setdefault(int(s), set()).add(int(d))
-        groups = greedy_region_groups(adj, cands, max_group_size, seed=seed + m)
+        adj = {
+            int(v): set(indices[indptr[v]: indptr[v + 1]].tolist())
+            for v in np.flatnonzero(owner == m)
+        }
+        groups = greedy_region_groups(adj, pdf["v"].tolist(), max_group_size, seed=seed + m)
         return pd.DataFrame(
             {"machine": m, "v": list(groups), "g": [groups[v] for v in groups]}
         )
 
-    return payload.groupBy("machine").applyInPandas(
+    return candidates.select("machine", "v").groupBy("machine").applyInPandas(
         run, schema="machine int, v long, g int"
     )

@@ -8,7 +8,8 @@ task sees the graph the way the machine does: CSR adjacency, the
 replicated ownership map and degrees. Every embedding keeps its home
 machine (owner of its start vertex) for its whole life, so
 intermediate results never move between machines — the paper's core
-claim.
+claim. SM-E (``core/sme.py``) is the same task over the machine-local
+CSR, where nothing is foreign.
 
 Expand — per leaf of the round's unit: the pivot's neighbors, then the
          degree, injectivity and symmetry-breaking filters. A
@@ -62,7 +63,7 @@ from repro.core.metrics import (
     RunMetrics,
 )
 from repro.graphs.datasets import GraphContext
-from repro.graphs.generators import adjacency_csr, csr_expand
+from repro.graphs.generators import csr_expand
 from repro.query.pattern import Pattern
 from repro.query.plan import Plan
 
@@ -118,9 +119,11 @@ def _machine_task(graph, specs, n_cols, budget, has_groups):
     machine's (machine, v, g) payload rows (g = -1: a start candidate,
     else its region group) and returns the machine's embeddings (``meta``
     null) plus one JSON metering row per (group, round) (``u*`` = -1).
-    ``graph`` holds numpy arrays only: the task must not capture the
-    unpicklable GraphContext."""
-    indptr, indices, owner, deg, ekeys, n = graph
+    ``graph`` is ((indptr, indices, edge keys), owner, degrees, n): numpy
+    arrays only, as the task must not capture the unpicklable
+    GraphContext. Over ``GraphContext.local_csr`` nothing is foreign, so
+    nothing is fetched and no edge is undetermined: that is SM-E."""
+    (indptr, indices, ekeys), owner, deg, n = graph
 
     def has_edge(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         q = a * n + b
@@ -214,6 +217,23 @@ def _machine_task(graph, specs, n_cols, budget, has_groups):
     return run
 
 
+def machine_tasks(
+    payload: DataFrame, graph, pattern: Pattern, plan: Plan,
+    budget: int | None, has_groups: bool,
+) -> DataFrame:
+    """Lazy: one :func:`_machine_task` per machine over the (machine, v, g)
+    ``payload``; columns u0..u{n-1} and ``meta``."""
+    cols = [f"u{u}" for u in range(pattern.n)]
+    schema = ", ".join(f"{c} long" for c in cols) + ", meta string"
+    task = _machine_task(graph, _round_specs(pattern, plan), pattern.n, budget, has_groups)
+    return payload.groupBy("machine").applyInPandas(task, schema)
+
+
+def embeddings(out: DataFrame, n_cols: int) -> DataFrame:
+    """The embedding rows of :func:`machine_tasks`' output."""
+    return out.filter(F.col("meta").isNull()).select(*[f"u{u}" for u in range(n_cols)])
+
+
 def run_rmeef(
     gc: GraphContext,
     pattern: Pattern,
@@ -231,32 +251,21 @@ def run_rmeef(
     dp0.piv candidates assigned to the distributed phase; ``groups``:
     optional (machine, v, g) region-group assignment (None: one group
     per machine). All Spark work is done when it returns."""
-    n = gc.n_vertices
-    indptr, indices = adjacency_csr(gc.edges_np, n)
-    ekeys = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr)) * n + indices
-    graph = (indptr, indices, gc.owner_np, gc.degree_np(), ekeys, n)
-    specs = _round_specs(pattern, plan)
-
     # one shuffle: the machine's candidates (g = -1) and, if any, its
     # group assignment travel together; the task joins them
     payload = start_candidates.select("machine", "v", F.lit(-1).alias("g"))
     if groups is not None:
         payload = payload.unionByName(groups.select("machine", "v", "g"))
-    cols = [f"u{u}" for u in range(pattern.n)]
-    schema = ", ".join(f"{c} long" for c in cols) + ", meta string"
-    out = (
-        payload.groupBy("machine")
-        .applyInPandas(
-            _machine_task(graph, specs, pattern.n, bytes_budget, groups is not None),
-            schema,
-        )
-        .localCheckpoint()
-    )
+    graph = (gc.csr, gc.owner_np, gc.deg_np, gc.n_vertices)
+    out = machine_tasks(
+        payload, graph, pattern, plan, bytes_budget, groups is not None
+    ).localCheckpoint()
     meter = [json.loads(r["meta"]) for r in out.filter(F.col("meta").isNotNull()).collect()]
     metrics.rounds = plan.rounds
+    specs = _round_specs(pattern, plan)
     if not _replay(meter, specs, metrics, bytes_budget, measure_compression):
         return None
-    return out.filter(F.col("meta").isNull()).select(*cols)
+    return embeddings(out, pattern.n)
 
 
 def _replay(meter, specs, metrics, bytes_budget, measure_compression) -> bool:

@@ -7,11 +7,17 @@ GraphContext carries the distributed representation:
 * ``edges``       — symmetric edge DataFrame (src, dst), cached
 * ``owner``       — vertex ownership (v, machine); the paper replicates
                     this map on every machine, so engines may broadcast it
-* ``edges_o``     — edges joined with both endpoint owners, cached
 * ``degrees``     — (v, deg) for candidate filtering
-* ``bd_np``       — border distance per vertex (Prop. 1), computed once
-                    here on the driver; SM-E's candidate split filters it
+* ``csr``         — (indptr, indices, edge keys) of the whole graph, see
+                    ``generators.csr_with_keys``; R-Meef's task reads it
+* ``local_csr``   — the same triple over intra-machine edges only; SM-E
+                    runs R-Meef's task over it, region grouping reads it
+* ``deg_np``      — degree per vertex
+* ``bd_np``       — border distance per vertex (Prop. 1); SM-E's
+                    candidate split filters it
 * ``edges_pdf``   — symmetric pandas copy for the DuckDB oracle
+
+The numpy arrays are computed once here, on the driver.
 """
 from __future__ import annotations
 
@@ -20,11 +26,10 @@ from dataclasses import dataclass, field
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
 
 from repro.graphs.generators import (
     barabasi_albert,
-    degrees_of,
+    csr_with_keys,
     grid_graph,
     watts_strogatz,
 )
@@ -41,10 +46,12 @@ class GraphContext:
     n_machines: int
     edges_np: np.ndarray  # canonical (E,2), src < dst
     owner_np: np.ndarray  # (n,) machine per vertex
+    csr: tuple[np.ndarray, ...] = field(repr=False)  # (indptr, indices, edge keys)
+    local_csr: tuple[np.ndarray, ...] = field(repr=False)  # the same, intra-machine edges
+    deg_np: np.ndarray = field(repr=False)  # (n,) degree
     bd_np: np.ndarray = field(repr=False)  # (n,) border distance
     edges: DataFrame = field(repr=False)  # symmetric, cached
     owner: DataFrame = field(repr=False)
-    edges_o: DataFrame = field(repr=False)  # src,dst,src_m,dst_m
     degrees: DataFrame = field(repr=False)  # v, deg
     edges_pdf: pd.DataFrame = field(repr=False)  # symmetric, for DuckDB
 
@@ -52,11 +59,8 @@ class GraphContext:
     def n_edges(self) -> int:
         return len(self.edges_np)
 
-    def degree_np(self) -> np.ndarray:
-        return degrees_of(self.edges_np, self.n_vertices)
-
     def unpersist(self) -> None:
-        for df in (self.edges, self.edges_o, self.degrees, self.owner):
+        for df in (self.edges, self.degrees, self.owner):
             df.unpersist()
 
 
@@ -88,18 +92,14 @@ def build_context(
         {"v": np.arange(n, dtype=np.int64), "machine": owner_np.astype(np.int32)}
     )
     owner = spark.createDataFrame(owner_pdf).cache()
-    edges_o = (
-        edges.join(F.broadcast(owner).withColumnsRenamed({"v": "src", "machine": "src_m"}), "src")
-        .join(F.broadcast(owner).withColumnsRenamed({"v": "dst", "machine": "dst_m"}), "dst")
-        .select("src", "dst", "src_m", "dst_m")
-        .cache()
-    )
-    deg_np = degrees_of(edges_np, n)
+    csr = csr_with_keys(edges_np, n)
+    deg_np = np.diff(csr[0])
+    local = owner_np[edges_np[:, 0]] == owner_np[edges_np[:, 1]]
     degrees = spark.createDataFrame(
         pd.DataFrame({"v": np.arange(n, dtype=np.int64), "deg": deg_np})
     ).cache()
     # materialize caches once
-    edges.count(), edges_o.count(), degrees.count(), owner.count()
+    edges.count(), degrees.count(), owner.count()
     return GraphContext(
         spark=spark,
         name=name,
@@ -107,10 +107,12 @@ def build_context(
         n_machines=m,
         edges_np=edges_np,
         owner_np=owner_np,
+        csr=csr,
+        local_csr=csr_with_keys(edges_np[local], n),
+        deg_np=deg_np,
         bd_np=border_distance(edges_np, owner_np, n),
         edges=edges,
         owner=owner,
-        edges_o=edges_o,
         degrees=degrees,
         edges_pdf=edges_pdf,
     )

@@ -95,8 +95,8 @@ def degrees_of(edges: np.ndarray, n: int) -> np.ndarray:
 
 
 def adjacency_csr(edges: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(indptr, indices) CSR adjacency of the symmetric graph — driver-side
-    BFS helper used by the partitioner and diameter estimation."""
+    """(indptr, indices) CSR adjacency of the symmetric graph, each row's
+    neighbors in ascending order."""
     both = np.concatenate([edges, edges[:, ::-1]])
     order = np.lexsort((both[:, 1], both[:, 0]))
     both = both[order]
@@ -104,6 +104,17 @@ def adjacency_csr(edges: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     cnt = np.bincount(both[:, 0], minlength=n)
     indptr[1:] = np.cumsum(cnt)
     return indptr, both[:, 1].copy()
+
+
+def csr_with_keys(
+    edges: np.ndarray, n: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(indptr, indices, edge keys) of the symmetric graph: the CSR
+    adjacency and the ``src * n + dst`` key of every entry, sorted
+    because the CSR rows are, so an edge test is a binary search."""
+    indptr, indices = adjacency_csr(edges, n)
+    src = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
+    return indptr, indices, src * n + indices
 
 
 def csr_expand(

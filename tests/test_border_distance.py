@@ -61,7 +61,7 @@ def test_one_machine_has_no_border(spark_tuned):
     p = QUERIES["q2"]
     u0 = choose_plan(p).units[0].piv
     c1, rest = split_candidates(gc1, p, u0)
-    want = np.nonzero(gc1.degree_np() >= p.degree(u0))[0].tolist()
+    want = np.nonzero(gc1.deg_np >= p.degree(u0))[0].tolist()
     assert _vs(c1) == want and _vs(rest) == []
     _, met = run_rads(gc1, p, "q2")
     assert met.comm_bytes == 0

@@ -30,14 +30,6 @@ def test_see_intermediate_tracks_peak():
     assert m.peak_intermediate_bytes == 50 * 10 * 8
 
 
-def test_over_budget():
-    m = RunMetrics("e", "q", "d")
-    m.see_intermediate(1000, 4)
-    assert m.over_budget(1000)
-    assert not m.over_budget(10**9)
-    assert not m.over_budget(None)
-
-
 def test_row_shape():
     m = RunMetrics("rads", "q1", "dblp_tiny")
     m.n_embeddings = 5
